@@ -237,7 +237,6 @@ int main() {
   serve::ForecastServiceOptions options;
   options.max_queue = 512;
   options.max_batch = 16;
-  options.batch_linger_ms = 1;
   options.dispatch_threads = 2;
   serve::ForecastService service(&registry, options);
   service.Start();

@@ -8,7 +8,8 @@
 //   GET  /status    JSON with a "serve" object (queue depth, batches, shed)
 //   GET  /healthz   liveness
 //
-// Concurrent POSTs are coalesced into batches by a small dispatcher crew;
+// A small dispatcher crew forecasts each POST as soon as it is queued
+// (POSTs that pile up behind busy dispatchers go out as one batch);
 // admission is bounded (queue depth + the machine's coarse-reservation
 // budget) and overload is shed with 429 + Retry-After.
 //
@@ -16,8 +17,7 @@
 //   ./build/examples/tfb_serve --port=8080 --models=./models
 //   ./build/examples/tfb_serve --port=8080 --demo     # fit demo models
 //   curl -s localhost:8080/models
-//   curl -s -X POST localhost:8080/forecast \
-//     -d '{"model":"theta-demo","horizon":8,"history":[1,2,3,4,5,6,7,8]}'
+//   curl -s localhost:8080/forecast -d '{"model":"theta-demo","history":[1,2,3,4,5,6,7,8]}'
 //
 // Flags:
 //   --port=N            TCP port (default 8080; 0 = ephemeral, printed)
@@ -34,8 +34,7 @@
 //   --horizon=H         demo fit horizon (default 24)
 //   --capacity=K        max models kept fitted in memory (default 8)
 //   --max-queue=N       admission bound before 429 (default 256)
-//   --max-batch=N       batch coalescing bound (default 16)
-//   --linger-ms=N       batch coalescing window (default 2)
+//   --max-batch=N       most requests one dispatcher takes (default 16)
 //   --dispatchers=N     dispatcher threads (default 2)
 //   --max-reserved=N    shed when ReservedCoarseWorkers() >= N (default 0
 //                       = gate off)
@@ -214,9 +213,6 @@ int main(int argc, char** argv) {
           std::atol(value.c_str()));
     } else if (FlagValue(argv[i], "--max-batch", &value)) {
       service_options.max_batch = static_cast<std::size_t>(
-          std::atol(value.c_str()));
-    } else if (FlagValue(argv[i], "--linger-ms", &value)) {
-      service_options.batch_linger_ms = static_cast<int>(
           std::atol(value.c_str()));
     } else if (FlagValue(argv[i], "--dispatchers", &value)) {
       service_options.dispatch_threads = static_cast<std::size_t>(

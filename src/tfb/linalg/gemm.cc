@@ -266,17 +266,39 @@ const std::string& DispatchCounterName(KernelPath path, bool small) {
   return kScalar;
 }
 
+/// The GEMM counters, resolved once per registry generation instead of by
+/// three string-keyed lookups per call (a tiny GEMM costs less than the
+/// lookups). Thread-local, so resolving takes no lock of its own.
+struct GemmCounters {
+  std::uint64_t generation = ~std::uint64_t{0};
+  obs::Counter* calls = nullptr;
+  obs::Counter* flops = nullptr;
+  obs::Counter* dispatch[4] = {};  // small, then one per KernelPath.
+};
+
 void RecordGemm(std::size_t m, std::size_t n, std::size_t k,
                 std::size_t calls, KernelPath path, bool small) {
   if (!obs::Enabled()) return;
+  thread_local GemmCounters counters;
   obs::Registry& registry = obs::DefaultRegistry();
-  registry.GetCounter("tfb_kernel_gemm_calls_total")
-      .Increment(static_cast<double>(calls));
-  registry.GetCounter("tfb_kernel_gemm_flops_total")
-      .Increment(2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                 static_cast<double>(k) * static_cast<double>(calls));
-  registry.GetCounter(DispatchCounterName(path, small))
-      .Increment(static_cast<double>(calls));
+  if (counters.generation != registry.generation()) {
+    // First use on this thread, or Reset() dropped the cached instruments.
+    counters = GemmCounters{};
+    counters.generation = registry.generation();
+    counters.calls = &registry.GetCounter("tfb_kernel_gemm_calls_total");
+    counters.flops = &registry.GetCounter("tfb_kernel_gemm_flops_total");
+  }
+  // Resolved on first use only: an unused path exports no counter.
+  obs::Counter*& dispatch =
+      counters.dispatch[small ? 0 : 1 + static_cast<int>(path)];
+  if (dispatch == nullptr) {
+    dispatch = &registry.GetCounter(DispatchCounterName(path, small));
+  }
+  counters.calls->Increment(static_cast<double>(calls));
+  counters.flops->Increment(2.0 * static_cast<double>(m) *
+                            static_cast<double>(n) * static_cast<double>(k) *
+                            static_cast<double>(calls));
+  dispatch->Increment(static_cast<double>(calls));
 }
 
 bool UseSmallPath(std::size_t m, std::size_t n, std::size_t k) {

@@ -327,6 +327,7 @@ void Registry::Reset() {
     shard.gauges.clear();
     shard.histograms.clear();
   }
+  generation_.fetch_add(1, std::memory_order_release);
 }
 
 Registry& DefaultRegistry() {

@@ -150,6 +150,11 @@ class Registry {
   /// Drops every instrument (for test isolation and repeated bench runs).
   /// Invalidates previously returned references.
   void Reset();
+  /// Advanced by every Reset(). A hot path that caches instrument
+  /// references re-resolves them when this moves.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
  private:
   struct Shard {
@@ -162,6 +167,7 @@ class Registry {
   Shard& ShardFor(const std::string& name);
 
   Shard shards_[kShards];
+  std::atomic<std::uint64_t> generation_{0};
 };
 
 /// The process-wide registry every pipeline instrumentation site records

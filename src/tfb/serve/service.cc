@@ -118,14 +118,11 @@ std::string GenerateRequestId() {
   return buf;
 }
 
-double MsSince(Clock::time_point begin, Clock::time_point end) {
-  return std::chrono::duration<double, std::milli>(end - begin).count();
-}
-
 }  // namespace
 
 /// Per-request stage breakdown, all in seconds. Stages tile the request's
-/// life inside the service: admission-queue wait, batch-linger window,
+/// life inside the service: admission-queue wait, dispatcher wake -> batch
+/// take (the "linger" stage; ~0 since dispatch never waits to fill a batch),
 /// model-lease acquisition, forecast compute + render. Their sum tracks
 /// the end-to-end latency (modulo scheduling gaps between stages).
 struct ForecastService::StageTimes {
@@ -390,33 +387,26 @@ void ForecastService::DispatchLoop() {
         if (!running_) return;
         continue;
       }
-      // Linger briefly so a burst of concurrent arrivals coalesces into one
-      // batch instead of N singleton dispatches.
+      // Take whatever is queued now; never wait for a fuller batch, since
+      // ExecuteBatch forecasts item by item and a wait buys no shared
+      // compute. Requests still coalesce when they pile up under load.
       const Clock::time_point wake = Clock::now();
-      if (options_.batch_linger_ms > 0 && queue_.size() < options_.max_batch) {
-        work_cv_.wait_for(
-            lock, std::chrono::milliseconds(options_.batch_linger_ms),
-            [this] { return queue_.size() >= options_.max_batch || !running_; });
-      }
-      const Clock::time_point taken = Clock::now();
       const std::size_t take =
           std::min(queue_.size(), std::max<std::size_t>(options_.max_batch, 1));
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
-        PendingRequest item = std::move(queue_.front());
+        batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
-        // Stage split: time before this dispatcher woke is queue wait; time
-        // spent holding the batch open afterwards is linger. An item that
-        // arrived mid-linger waited in neither — only its tail counts.
-        const Clock::time_point linger_from =
-            item.enqueued > wake ? item.enqueued : wake;
+      }
+      // Stage split: enqueue -> wake is queue wait; wake -> take is the
+      // linger stage, which without a timed window is only the pops above.
+      // Every item was enqueued before the wake (the lock is held since).
+      const Clock::time_point taken = Clock::now();
+      for (PendingRequest& item : batch) {
         item.stages.queue =
-            item.enqueued < wake
-                ? std::chrono::duration<double>(wake - item.enqueued).count()
-                : 0.0;
+            std::chrono::duration<double>(wake - item.enqueued).count();
         item.stages.linger =
-            std::chrono::duration<double>(taken - linger_from).count();
-        batch.push_back(std::move(item));
+            std::chrono::duration<double>(taken - wake).count();
       }
       ++stats_.batches;
       stats_.max_batch_seen = std::max(stats_.max_batch_seen, batch.size());

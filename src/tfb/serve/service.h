@@ -18,10 +18,11 @@
 /// The forecast request plane (the "Serving plane" section of DESIGN.md).
 /// ForecastService owns a bounded admission queue and a small crew of
 /// dispatcher threads. The HTTP event loop parses a POST /forecast body,
-/// admits or sheds it, and returns immediately; dispatchers drain the queue
-/// in coalesced batches (up to `max_batch`, after a short linger window so
-/// concurrent requests merge), execute forecasts through the compute-kernel
-/// layer, and complete each parked request via its HttpResponder.
+/// admits or sheds it, and returns immediately; a dispatcher that wakes takes
+/// whatever is queued (up to `max_batch`) at once — requests coalesce only
+/// when they pile up under load, never by waiting — executes the forecasts
+/// through the compute-kernel layer, and completes each parked request via
+/// its HttpResponder.
 ///
 /// Backpressure is two-gated, shedding with 429 + Retry-After:
 ///  - queue depth >= max_queue (the service itself is saturated);
@@ -41,7 +42,6 @@ namespace tfb::serve {
 struct ForecastServiceOptions {
   std::size_t max_queue = 256;   ///< Admission bound; beyond it: 429.
   std::size_t max_batch = 16;    ///< Items per dispatched batch.
-  int batch_linger_ms = 2;       ///< Coalescing wait when a batch is short.
   std::size_t dispatch_threads = 2;
   /// Shed when ReservedCoarseWorkers() is at/over this before enqueue;
   /// 0 disables the gate.

@@ -15,6 +15,7 @@
 #include "tfb/linalg/gemm.h"
 #include "tfb/linalg/matrix.h"
 #include "tfb/methods/dl/dl_forecasters.h"
+#include "tfb/obs/metrics.h"
 #include "tfb/parallel/thread_pool.h"
 #include "tfb/stats/rng.h"
 
@@ -421,6 +422,28 @@ TEST(ParallelFor, CoarseReservationShrinksButDoesNotChangeCoverage) {
         for (std::size_t i = lo; i < hi; ++i) ++hits[i];
       });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1);
+}
+
+// RecordGemm caches its counters per thread. A Registry::Reset() between
+// two GEMMs drops those instruments, so the second GEMM must land in the
+// fresh ones — exactly, on both the small and the micro-kernel path.
+TEST(GemmCounters, StayExactAcrossRegistryReset) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Registry& registry = obs::DefaultRegistry();
+  const std::size_t shapes[][3] = {{3, 4, 5}, {80, 72, 64}, {3, 4, 5}};
+  for (const auto& shape : shapes) {
+    const std::size_t m = shape[0], n = shape[1], k = shape[2];
+    const Matrix a = RandomMatrix(m, k, 7);
+    const Matrix b = RandomMatrix(k, n, 8);
+    registry.Reset();
+    (void)MatMul(a, b);
+    EXPECT_EQ(registry.GetCounter("tfb_kernel_gemm_calls_total").Value(), 1.0);
+    EXPECT_EQ(registry.GetCounter("tfb_kernel_gemm_flops_total").Value(),
+              2.0 * static_cast<double>(m * n * k));
+  }
+  registry.Reset();
+  obs::SetEnabled(was_enabled);
 }
 
 }  // namespace

@@ -130,14 +130,17 @@ TEST(Shard, WorkerKillMidRunRecovers) {
 
 TEST(Shard, HeartbeatTimeoutRecoversWedgedWorker) {
   // SIGSTOP freezes the worker without closing its socket: only the
-  // heartbeat timeout can catch it. Generous timeout budget so a loaded
-  // CI machine does not false-positive the healthy workers.
+  // heartbeat timeout can catch it. A single initial worker is certain to
+  // be granted the first shard and so to freeze after that shard's first
+  // task; with two workers the healthy one could drain the grid before
+  // the faulty one completed anything. Generous timeout budget so a loaded
+  // CI machine does not false-positive the healthy replacement.
   const std::vector<BenchmarkTask> tasks = SmallGrid();
   RunnerOptions options;
   const auto single = BenchmarkRunner(options).Run(tasks);
 
   ShardOptions shard_options;
-  shard_options.num_workers = 2;
+  shard_options.num_workers = 1;
   shard_options.shard_size = 2;
   shard_options.heartbeat_seconds = 0.05;
   shard_options.heartbeat_timeout_seconds = 1.0;

@@ -218,7 +218,7 @@ TEST(ProcSandbox, CpuLimitKillsSpinningChild) {
   limits.cpu_seconds = 1.0;
   const SandboxResult r = RunInSandbox([]() -> std::string {
     volatile double sink = 0.0;
-    while (true) sink += 1.0;  // Burns CPU, never sleeps, never returns.
+    while (true) sink = sink + 1.0;  // Burns CPU, never sleeps, never returns.
   }, limits);
   EXPECT_EQ(r.fate, TaskFate::kTimeout);
   EXPECT_EQ(r.term_signal, SIGXCPU);

@@ -1,7 +1,8 @@
 // Serving-plane tests: the JSON parser, the warm LRU model registry
 // (versioned keys, eviction, warm exemption), and the end-to-end HTTP
 // path — concurrent POST /forecast batching with byte-exact agreement
-// against offline Forecast(), tfb_serve_* metrics in /metrics and /status,
+// against offline Forecast(), coalescing and queue-full shedding behind a
+// held model lease, tfb_serve_* metrics in /metrics and /status,
 // 429 + Retry-After shedding under a held coarse reservation, and the
 // exporter's 404/405+Allow/431 error satellites.
 
@@ -380,11 +381,28 @@ TEST_F(ServeHttpTest, ServedForecastIsByteIdenticalToOffline) {
   EXPECT_EQ(body, expected);
 }
 
+/// Polls `done` until it holds, failing after a generous deadline. Waits on
+/// service state, never on a guessed sleep.
+template <typename Predicate>
+bool WaitUntil(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST_F(ServeHttpTest, ConcurrentPostsAllSucceedAndCoalesce) {
+  // Dispatch never waits to fill a batch, so coalescing is shown by making
+  // requests pile up: the test thread holds the model's exclusive lease,
+  // the lone dispatcher takes the first request and parks in Acquire, and
+  // every later POST queues behind it. Releasing the lease must then
+  // dispatch all of them as one batch.
   ForecastServiceOptions options;
-  options.max_batch = 8;
-  options.batch_linger_ms = 5;  // Wide window so the burst coalesces.
-  options.dispatch_threads = 2;
+  options.max_batch = 16;
+  options.dispatch_threads = 1;
   StartServing(options);
 
   const std::string request = "{\"model\":\"naive-demo\",\"horizon\":4,"
@@ -392,18 +410,27 @@ TEST_F(ServeHttpTest, ConcurrentPostsAllSucceedAndCoalesce) {
                               HistoryJson(TinySeries(21)) + "}";
   constexpr int kClients = 12;
   std::atomic<int> ok{0};
+  const auto post = [&] {
+    int code = 0;
+    std::string body;
+    if (obs::HttpPost(port_, "/forecast", request, &code, &body) &&
+        code == 200 && body.find("\"forecast\":[[") != std::string::npos) {
+      ok.fetch_add(1);
+    }
+  };
   std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&] {
-      int code = 0;
-      std::string body;
-      if (obs::HttpPost(port_, "/forecast", request, &code, &body) &&
-          code == 200 &&
-          body.find("\"forecast\":[[") != std::string::npos) {
-        ok.fetch_add(1);
-      }
-    });
-  }
+  {
+    ModelRegistry::Lease held;
+    ASSERT_TRUE(registry_->Acquire("naive-demo", &held).ok());
+    // EXPECT, not ASSERT: the clients must still be released and joined.
+    clients.emplace_back(post);
+    EXPECT_TRUE(WaitUntil([&] { return service_->Stats().batches == 1; }));
+    for (int i = 1; i < kClients; ++i) clients.emplace_back(post);
+    EXPECT_TRUE(WaitUntil([&] {
+      return service_->Stats().queue_depth ==
+             static_cast<std::size_t>(kClients - 1);
+    }));
+  }  // Lease released: the parked dispatcher finishes, then takes the rest.
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(ok.load(), kClients);
 
@@ -411,11 +438,8 @@ TEST_F(ServeHttpTest, ConcurrentPostsAllSucceedAndCoalesce) {
   EXPECT_EQ(stats.admitted, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(stats.shed, 0u);
-  EXPECT_GE(stats.batches, 1u);
-  // With a 5ms linger and 12 concurrent clients, batching must engage:
-  // fewer dispatches than requests.
-  EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kClients));
-  EXPECT_GT(stats.max_batch_seen, 1u);
+  EXPECT_LE(stats.batches, 2u);
+  EXPECT_GE(stats.max_batch_seen, static_cast<std::size_t>(kClients - 1));
 
   // The /metrics scrape shows the serve instruments with real samples.
   std::string metrics;
@@ -535,13 +559,12 @@ TEST_F(ServeHttpTest, ReservationPressureShedsWith429RetryAfter) {
 }
 
 TEST_F(ServeHttpTest, QueueOverflowShedsWith429) {
-  // max_queue 1 with a long linger: the dispatcher parks on the first
-  // arrival waiting (in vain) for a full batch, the queue stays occupied,
-  // and every further submit must shed deterministically.
+  // max_queue 1 with the model's lease held by the test thread: the lone
+  // dispatcher takes at most one request and parks in Acquire, the queue
+  // holds at most one more, and every further submit must shed.
   ForecastServiceOptions options;
   options.max_queue = 1;
   options.max_batch = 16;
-  options.batch_linger_ms = 300;
   options.dispatch_threads = 1;
   ForecastService service(registry_.get(), options);
   service.Start();
@@ -551,15 +574,19 @@ TEST_F(ServeHttpTest, QueueOverflowShedsWith429) {
   constexpr int kBurst = 8;
   const std::string body = "{\"model\":\"naive-demo\",\"history\":" +
                            HistoryJson(TinySeries(21)) + "}";
-  for (int i = 0; i < kBurst; ++i) {
-    service.Submit(body, [&](obs::HttpResponse resp) {
-      if (resp.code == 429) shed.fetch_add(1);
-      done.fetch_add(1);
-    });
+  {
+    ModelRegistry::Lease held;
+    ASSERT_TRUE(registry_->Acquire("naive-demo", &held).ok());
+    for (int i = 0; i < kBurst; ++i) {
+      service.Submit(body, [&](obs::HttpResponse resp) {
+        if (resp.code == 429) shed.fetch_add(1);
+        done.fetch_add(1);
+      });
+    }
   }
-  service.Stop();  // Drains the one queued request.
+  service.Stop();  // Drains the admitted requests.
   EXPECT_EQ(done.load(), kBurst);
-  EXPECT_GE(shed.load(), 1);
+  EXPECT_GE(shed.load(), kBurst - 2);
   EXPECT_EQ(service.Stats().shed, static_cast<std::uint64_t>(shed.load()));
   EXPECT_EQ(service.Stats().admitted + service.Stats().shed,
             static_cast<std::uint64_t>(kBurst));
